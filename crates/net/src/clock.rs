@@ -8,7 +8,10 @@
 //! sleeping through it — stale timers are ignored by the machines on
 //! expiry (timers are never cancelled, by contract), so jumping a quiet
 //! network ahead to the next deadline is observationally equivalent to
-//! waiting it out.
+//! waiting it out. Deciding *when* the network is quiet is the driver's
+//! job: it counts the datagrams in flight between its own sockets and
+//! fast-forwards the moment none are, falling back to a real-time grace
+//! window only when that count cannot prove quiet.
 
 use std::time::{Duration, Instant};
 

@@ -10,11 +10,16 @@
 //! Time is the [`WallClock`] adapter's virtual ticks. The loop pumps
 //! sockets first and fires due timers second (an ack sitting in a
 //! kernel buffer always clears its session before the retry timer can
-//! fire), sleeps at most until the next timer deadline, and — after a
-//! real-time grace window confirms the network is quiet — fast-forwards
-//! the clock to that deadline instead of waiting it out. Stale timers
-//! fired after a fast-forward are ignored by the machines (their
-//! sessions are gone), exactly as in the simulator.
+//! fire), and once the network is quiet fast-forwards the clock to the
+//! next timer deadline instead of waiting it out. Quiet is proven by
+//! accounting, not guessed: every datagram sent from one hosted socket
+//! to another counts as in flight until a hosted socket reads it, so
+//! with nothing in flight and nothing due the skip is immediate. Only a
+//! send to an endpoint this driver does not host, or a datagram the
+//! kernel has not handed over yet, falls back to a real-time grace
+//! window; whatever is still missing when it runs out is declared lost.
+//! Stale timers fired after a fast-forward are ignored by the machines
+//! (their sessions are gone), exactly as in the simulator.
 //!
 //! The datagram boundary is hardened: a frame longer than [`MAX_FRAME`]
 //! or one that fails [`Envelope::decode`] is dropped and metered
@@ -59,6 +64,10 @@ pub struct NetStats {
     /// Times the clock fast-forwarded a quiet network to the next
     /// timer deadline.
     pub fast_forwards: u64,
+    /// Times quiet could not be proven by accounting and a grace window
+    /// ran out instead: datagrams to a foreign endpoint, or datagrams
+    /// between hosted sockets that never arrived (declared lost).
+    pub grace_expiries: u64,
 }
 
 /// One node: its identity, its socket, its machine.
@@ -74,6 +83,14 @@ pub struct SocketDriver {
     book: AddressBook,
     nodes: Vec<NetNode>,
     by_key: HashMap<Key, usize>,
+    /// Endpoints of the sockets this driver hosts.
+    hosted: HashSet<SocketAddr>,
+    /// Datagrams sent between hosted sockets and not yet read back.
+    in_flight: u64,
+    /// Set when a datagram went to an endpoint this driver does not
+    /// host: its fate is unknowable, so quiet cannot be proven until a
+    /// grace window runs out.
+    unaccounted: bool,
     /// Armed timers, ordered by deadline; the `u64` sequence breaks
     /// ties FIFO, mirroring the simulator's event queue.
     timers: BTreeMap<(SimTime, u64), (Key, TimerKind)>,
@@ -84,8 +101,8 @@ pub struct SocketDriver {
     delivered: HashSet<(Key, u64)>,
     /// Completions surfaced by the machines, for the caller to drain.
     pub completions: Vec<Completion>,
-    /// Real-time window the loop waits for in-flight datagrams before
-    /// declaring the network quiet and fast-forwarding.
+    /// Real-time window the loop waits, when quiet is not proven, before
+    /// declaring missing datagrams lost and fast-forwarding anyway.
     grace: Duration,
     stats: NetStats,
 }
@@ -98,6 +115,9 @@ impl SocketDriver {
             book: AddressBook::new(),
             nodes: Vec::new(),
             by_key: HashMap::new(),
+            hosted: HashSet::new(),
+            in_flight: 0,
+            unaccounted: false,
             timers: BTreeMap::new(),
             timer_seq: 0,
             delivered: HashSet::new(),
@@ -107,8 +127,10 @@ impl SocketDriver {
         }
     }
 
-    /// Overrides the quiet-network grace window (default 5 ms — orders
-    /// of magnitude above a loopback round trip).
+    /// Overrides the loss-fallback grace window (default 5 ms — orders
+    /// of magnitude above a loopback round trip). It is waited out only
+    /// when quiet cannot be proven: a datagram to a foreign endpoint, or
+    /// one between hosted sockets that has not arrived.
     pub fn set_grace(&mut self, grace: Duration) {
         self.grace = grace;
     }
@@ -128,6 +150,7 @@ impl SocketDriver {
         socket.set_nonblocking(true)?;
         let endpoint = socket.local_addr()?;
         self.book.register(addr, endpoint);
+        self.hosted.insert(endpoint);
         self.by_key.insert(key, self.nodes.len());
         self.nodes.push(NetNode { key, socket, machine });
         Ok(endpoint)
@@ -192,6 +215,11 @@ impl SocketDriver {
             }
             self.nodes[from_idx].socket.send_to(&bytes, endpoint)?;
             self.stats.datagrams_sent += 1;
+            if self.hosted.contains(&endpoint) {
+                self.in_flight += 1;
+            } else {
+                self.unaccounted = true;
+            }
         }
         for t in out.timers {
             self.timers.insert((t.at, self.timer_seq), (from, t.kind));
@@ -211,7 +239,15 @@ impl SocketDriver {
         for idx in 0..self.nodes.len() {
             loop {
                 let n = match self.nodes[idx].socket.recv_from(&mut buf) {
-                    Ok((n, _)) => n,
+                    Ok((n, src)) => {
+                        // Foreign senders (attackers included) never
+                        // touch the in-flight accounting. Saturating: a
+                        // datagram already declared lost may still turn up.
+                        if self.hosted.contains(&src) {
+                            self.in_flight = self.in_flight.saturating_sub(1);
+                        }
+                        n
+                    }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                     Err(e) => return Err(e),
                 };
@@ -268,13 +304,15 @@ impl SocketDriver {
     }
 
     /// Pumps and fires until the network is quiet *and* no timers
-    /// remain, fast-forwarding the clock over dead air: when a full
-    /// grace window of real time passes with no datagram arriving and
-    /// nothing due, the clock jumps to the next timer deadline (the
-    /// machines cannot observe the skip — they only ever see `now` as
-    /// an argument). Returns the number of datagrams plus timer firings
-    /// processed, or `TimedOut` once `max_events` is exceeded — the
-    /// same runaway-retry backstop the simulator's event budget gives.
+    /// remain, fast-forwarding the clock over dead air: when nothing is
+    /// due and no datagram is in flight, the clock jumps to the next
+    /// timer deadline at once (the machines cannot observe the skip —
+    /// they only ever see `now` as an argument). If quiet cannot be
+    /// proven, the loop first waits up to the grace window for the
+    /// missing datagrams (see [`Self::set_grace`]). Returns the number
+    /// of datagrams plus timer firings processed, or `TimedOut` once
+    /// `max_events` is exceeded — the same runaway-retry backstop the
+    /// simulator's event budget gives.
     pub fn run_until_quiet(&mut self, env: &mut dyn NodeEnv, max_events: u64) -> Result<u64> {
         self.run_until(env, max_events, |_| false)
     }
@@ -305,11 +343,18 @@ impl SocketDriver {
                 }
                 continue;
             }
-            // Quiet right now; in-flight bytes get a real-time grace
-            // window before the clock is allowed to skip ahead.
-            if self.pump_for(env, self.grace)? > 0 {
-                events += 1;
-                continue;
+            // Nothing readable and nothing due. Unless the accounting
+            // proves the network quiet, in-flight bytes get a real-time
+            // grace window before the clock may skip ahead; what is
+            // still missing after it is declared lost.
+            if self.in_flight > 0 || self.unaccounted {
+                if self.pump_for(env, self.grace)? > 0 {
+                    events += 1;
+                    continue;
+                }
+                self.in_flight = 0;
+                self.unaccounted = false;
+                self.stats.grace_expiries += 1;
             }
             match self.next_timer() {
                 Some(at) => {
@@ -420,10 +465,19 @@ mod tests {
     }
 
     /// A driver whose grace window keeps tests quick: 1 ms virtual
-    /// ticks and a 2 ms quiet window (still ≫ a loopback round trip).
+    /// ticks and a 2 ms loss fallback (still ≫ a loopback round trip).
     fn fast_driver() -> SocketDriver {
         let mut d = SocketDriver::new(WallClock::new(SimTime::ZERO, Duration::from_millis(1)));
         d.set_grace(Duration::from_millis(2));
+        d
+    }
+
+    /// A driver whose grace window is long enough that a kernel slow to
+    /// hand over a loopback datagram never expires it: a test on it
+    /// that sees an expiry saw an unproven fast-forward.
+    fn patient_driver() -> SocketDriver {
+        let mut d = SocketDriver::new(WallClock::new(SimTime::ZERO, Duration::from_millis(1)));
+        d.set_grace(Duration::from_secs(1));
         d
     }
 
@@ -431,7 +485,7 @@ mod tests {
     fn route_over_loopback_sockets_delivers() {
         let mut env = MiniEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
         env.mobile_hops.insert((A, B), B);
-        let mut d = fast_driver();
+        let mut d = patient_driver();
         d.bind_node(A, env.addrs[&A], ProtoMachine::new(A, policy())).unwrap();
         d.bind_node(B, env.addrs[&B], ProtoMachine::new(B, policy())).unwrap();
         let now = d.now();
@@ -451,13 +505,23 @@ mod tests {
         let s = d.stats();
         assert!(s.datagrams_sent >= 2, "hop plus ack, got {}", s.datagrams_sent);
         assert_eq!(s.dropped_oversized + s.dropped_garbage, 0);
+        // The hop's ack timer stays armed after the ack clears its
+        // session, so reaching quiet takes a fast-forward; had it not
+        // been proven by the accounting, it would show as an expiry.
+        d.run_until_quiet(&mut env, 10_000).unwrap();
+        let s = d.stats();
+        assert!(s.fast_forwards >= 1, "the stale ack timer must be skipped to");
+        assert_eq!(s.grace_expiries, 0, "every fast-forward proven quiet");
+        assert_eq!(s.datagrams_sent, s.datagrams_received);
     }
 
     #[test]
     fn hostile_datagrams_are_dropped_and_metered() {
-        let mut env = MiniEnv::default().with_node(A, 1, 1);
-        let mut d = fast_driver();
+        let mut env = MiniEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
+        env.mobile_hops.insert((A, B), B);
+        let mut d = patient_driver();
         let ep = d.bind_node(A, env.addrs[&A], ProtoMachine::new(A, policy())).unwrap();
+        d.bind_node(B, env.addrs[&B], ProtoMachine::new(B, policy())).unwrap();
         let attacker = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
         // Undecodable bytes, an oversized frame, and a well-formed
         // envelope addressed to a node this socket does not host.
@@ -485,6 +549,15 @@ mod tests {
         // The machine never saw any of it: nothing sent, nothing done.
         assert_eq!(s.datagrams_sent, 0);
         assert!(d.completions.is_empty());
+        // Nor did the in-flight accounting: a hosted route afterwards
+        // still reaches quiet without a single grace expiry.
+        assert_eq!((d.in_flight, d.unaccounted), (0, false));
+        let now = d.now();
+        let (_, out) = d.machine_mut(A).unwrap().start_route(now, &mut env, B);
+        d.dispatch(A, out, &mut env).unwrap();
+        d.run_until_quiet(&mut env, 10_000).unwrap();
+        assert!(d.completions.iter().any(|c| matches!(c, Completion::Delivered { .. })));
+        assert_eq!(d.stats().grace_expiries, 0);
     }
 
     #[test]
@@ -532,5 +605,8 @@ mod tests {
         // Initial send plus two retransmissions, all metered.
         assert_eq!(env.meter.count(MessageKind::RouteHop), 3);
         assert!(d.stats().fast_forwards >= 3, "quiet waits must fast-forward");
+        // The deaf endpoint is foreign: quiet is never proven, so every
+        // wait takes the grace-window fallback.
+        assert!(d.stats().grace_expiries >= 1, "a foreign endpoint must fall back to the window");
     }
 }

@@ -17,8 +17,10 @@
 //!   router, epoch) to real `SocketAddr` endpoints, mirroring the
 //!   `Transport` trait's addressing.
 //! - [`driver::SocketDriver`] — one socket per node, pump-then-fire
-//!   poll loop, hardened datagram boundary (oversized or undecodable
-//!   frames are dropped and metered, never parsed, never panic).
+//!   poll loop, quiet proven by counting in-flight datagrams between
+//!   hosted sockets, hardened datagram boundary (oversized or
+//!   undecodable frames are dropped and metered, never parsed, never
+//!   panic).
 //!
 //! The conformance claim — that a scripted scenario produces identical
 //! per-kind meter tallies and causal event sequences over sockets and
